@@ -52,7 +52,7 @@ def _write_text(path: str, text: str) -> Path:
     return target
 
 
-def _emit(args, payload: dict, default_name: str) -> None:
+def _emit(args, payload: dict) -> None:
     text = serialize.dumps(payload)
     if args.out:
         target = _write_text(args.out, text)
@@ -187,21 +187,27 @@ def _cmd_solve(args) -> int:
         problem = solver.NullificationProblem(args.n, targets, model)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_USAGE)
-    solution = solver.solve(problem, multistart=args.seeds, rng_seed=args.rng)
+    try:
+        solution = solver.solve(problem, multistart=args.seeds, rng_seed=args.rng)
+    except ValueError as exc:
+        raise _CliError(str(exc), EXIT_USAGE)
     payload = {
         "command": "solve",
         "rng_seed": args.rng,
         "problem": problem.to_jsonable(),
         **solution.to_jsonable(),
     }
-    _emit(args, payload, "solutions.json")
+    _emit(args, payload)
     return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
     seq = _get_sequence(args.seq)
     model = DOUBLE if args.model == "double" else TRIPLE
-    axes = profiler.default_axes(model, args.points)
+    try:
+        axes = profiler.default_axes(model, args.points)
+    except ValueError as exc:
+        raise _CliError(str(exc), EXIT_USAGE)
     fixed = {}
     if model.kind == "triple":
         fixed["eps"] = args.eps
@@ -250,7 +256,10 @@ def _cmd_coeffs(args) -> int:
         raise _CliError(
             f"caps {caps} do not match the {args.model} model", EXIT_USAGE
         )
-    table = expansion.expand_u11(seq, model, caps)
+    try:
+        table = expansion.expand_u11(seq, model, caps)
+    except ValueError as exc:
+        raise _CliError(str(exc), EXIT_USAGE)
     payload = {
         "command": "coeffs",
         "rng_seed": 0,
@@ -258,7 +267,7 @@ def _cmd_coeffs(args) -> int:
         "model": model.kind,
         **table.to_jsonable(),
     }
-    _emit(args, payload, "coeffs.json")
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -284,7 +293,7 @@ def _cmd_transform(args) -> int:
         "rng_seed": 0,
         **catalog.sequence_to_jsonable(out, nullified=()),
     }
-    _emit(args, payload, "transform.json")
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -301,7 +310,7 @@ def _cmd_catalog(args) -> int:
         "rng_seed": 0,
         **catalog.sequence_to_jsonable(seq),
     }
-    _emit(args, payload, "sequence.json")
+    _emit(args, payload)
     return EXIT_OK
 
 

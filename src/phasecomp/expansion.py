@@ -10,6 +10,7 @@ would be degenerate).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,42 +108,37 @@ def expand_u11(
 # -- batched evaluation ----------------------------------------------------
 #
 # The solver evaluates U11 coefficients at many phase vectors per Newton
-# iteration.  Only the phase factor differs between pulses and between batch
-# elements, so the area/detuning series is built once with jet arithmetic
-# and the batch dimension rides along in plain array convolutions.
+# iteration.  Every pulse is a nominal pi pulse, so its series differ only by
+# the phase factor exp(i*phi*(1+eps)), which touches the eps axis alone.
+# Truncated convolution with a fixed series is linear, so with coefficient
+# arrays flattened to rows of length M, `a0 * X` is the matmul `X @ L_a0`
+# and `pb * Y` is `(pf *_eps Y) @ L_sinb`, where pf is the per-row phase
+# series.  The two (M, M) operators are built once per (model, caps) from the
+# jet product table; the batch rides along as matmul rows.
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_pulse_operators(model: ErrorModel, caps: tuple[int, ...]):
+    """(L_a0, L_sinb): right-multiplication by the pi-pulse a and b/phase series."""
+    a_jet, b_jet = _pulse_jets(PulseSpec(area=math.pi, phase=0.0), model, caps)
+    shape = a_jet.coeffs.shape
+    i, j, k = jets._conv_table(shape)
+    ops = []
+    for series in (a_jet.coeffs, b_jet.coeffs):  # phase factor is 1 at phi = 0
+        op = np.zeros((series.size, series.size), dtype=complex)
+        op[i, k] = series.ravel()[j]
+        op.setflags(write=False)
+        ops.append(op)
+    return tuple(ops)
 
 
 def _phase_factor_batch(phases: "np.ndarray", k_cap: int) -> "np.ndarray":
-    """Taylor coefficients in eps of exp(i*phi*(1+eps)), shape (B, k_cap+1)."""
-    out = np.empty((phases.shape[0], k_cap + 1), dtype=complex)
-    out[:, 0] = np.exp(1j * phases)
+    """Taylor coefficients in eps of exp(i*phi*(1+eps)), one row of k_cap+1
+    per phase: shape phases.shape + (k_cap+1,)."""
+    out = np.empty(phases.shape + (k_cap + 1,), dtype=complex)
+    out[..., 0] = np.exp(1j * phases)
     for k in range(1, k_cap + 1):
-        out[:, k] = out[:, k - 1] * (1j * phases) / k
-    return out
-
-
-def _bconv(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    """Truncated convolution over all trailing axes; leading axis is batch."""
-    dims = a.shape[1:]
-    batch = max(a.shape[0], b.shape[0])
-    out = np.zeros((batch,) + dims, dtype=complex)
-    for idx in itertools.product(*(range(d) for d in dims)):
-        coeff = a[(slice(None),) + idx]
-        if not coeff.any():
-            continue
-        dst = (slice(None),) + tuple(slice(i, None) for i in idx)
-        src = (slice(None),) + tuple(slice(0, d - i) for i, d in zip(idx, dims))
-        out[dst] += coeff.reshape((-1,) + (1,) * len(dims)) * b[src]
-    return out
-
-
-def _conv_last_axis(base: "np.ndarray", factor: "np.ndarray") -> "np.ndarray":
-    """Convolve a batch-free series with per-batch coefficients on the last axis."""
-    k_len = base.shape[-1]
-    out = np.zeros((factor.shape[0],) + base.shape, dtype=complex)
-    for k in range(min(k_len, factor.shape[1])):
-        coeff = factor[:, k].reshape((-1,) + (1,) * base.ndim)
-        out[..., k:] += coeff * base[None, ..., : k_len - k]
+        out[..., k] = out[..., k - 1] * (1j * phases) / k
     return out
 
 
@@ -158,22 +154,27 @@ def u11_coefficients_batch(
     caps = tuple(int(c) for c in caps)
     phase_lists = np.asarray(phase_lists, dtype=float)
     batch, n_pulses = phase_lists.shape
-    base = PulseSpec(area=math.pi, phase=0.0)
-    a_jet, b_jet = _pulse_jets(base, model, caps)
-    a0 = a_jet.coeffs[None, ...]
-    sinb = b_jet.coeffs  # phase factor is 1 at phi = 0
-
+    op_a0, op_sinb = _pi_pulse_operators(model, caps)
     shape = tuple(c + 1 for c in caps)
-    a_tot = np.zeros((batch,) + shape, dtype=complex)
-    a_tot[(slice(None),) + (0,) * len(caps)] = 1.0
-    b_tot = np.zeros((batch,) + shape, dtype=complex)
+    size, k_len = op_a0.shape[0], shape[-1]
+    pf = _phase_factor_batch(phase_lists, caps[-1])
+    # signed per row: +pf feeds b from conj(a), -pf feeds a from conj(b)
+    pf = np.concatenate([pf, -pf])[:, :, None, :]
+
+    # rows [:B] hold a of the composed train, rows [B:] hold b
+    state = np.zeros((2 * batch, size), dtype=complex)
+    state[:batch, 0] = 1.0
     for p in range(n_pulses):
-        pf = _phase_factor_batch(phase_lists[:, p], caps[-1])
-        pb = _conv_last_axis(sinb, pf)
-        a_new = _bconv(a0, a_tot) - _bconv(pb, np.conj(b_tot))
-        b_new = _bconv(a0, b_tot) + _bconv(pb, np.conj(a_tot))
-        a_tot, b_tot = a_new, b_new
-    return a_tot
+        conj = state.conj().reshape(2 * batch, -1, k_len)
+        f = pf[:, p]
+        phased = conj * f[..., :1]
+        for m in range(1, k_len):
+            phased[..., m:] += f[..., m : m + 1] * conj[..., : k_len - m]
+        mixed = phased.reshape(2 * batch, size) @ op_sinb
+        state = state @ op_a0
+        state[:batch] += mixed[batch:]
+        state[batch:] += mixed[:batch]
+    return state[:batch].reshape((batch,) + shape)
 
 
 @dataclass(frozen=True)

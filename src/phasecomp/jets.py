@@ -13,6 +13,7 @@ package never exceed 6x6x3, so dense is both simpler and faster than sparse.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -29,15 +30,28 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _conv_table(shape: tuple[int, ...]):
+    """Flat (i, j, i+j) triples of every pair of in-cap multi-indices whose
+    sum is also in cap: the whole sparsity pattern of a truncated product."""
+    idx = np.indices(shape).reshape(len(shape), -1).T
+    total = idx[:, None, :] + idx[None, :, :]
+    i, j = np.nonzero(np.all(total < np.array(shape), axis=-1))
+    k = np.ravel_multi_index(tuple(total[i, j].T), shape)
+    for arr in (i, j, k):
+        arr.setflags(write=False)  # cached: shared by every caller
+    return i, j, k
+
+
 def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated convolution of two coefficient arrays of identical shape."""
-    out = np.zeros_like(a)
-    for idx in np.argwhere(a != 0):
-        idx = tuple(int(i) for i in idx)
-        dst = tuple(slice(i, None) for i in idx)
-        src = tuple(slice(0, n - i) for i, n in zip(idx, a.shape))
-        out[dst] += a[idx] * b[src]
-    return out
+    i, j, k = _conv_table(a.shape)
+    terms = a.ravel()[i] * b.ravel()[j]
+    size = a.size
+    out = np.bincount(k, terms.real, minlength=size) + 1j * np.bincount(
+        k, terms.imag, minlength=size
+    )
+    return out.reshape(a.shape)
 
 
 class Jet:

@@ -165,35 +165,51 @@ def _batch_residual(interior: np.ndarray, problem: NullificationProblem) -> np.n
     return out
 
 
+def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of a stack of systems J x = r.
+
+    `jac` has shape (B, m, n) and `rhs` shape (B, m).  One stacked SVD with
+    the cutoff of ``np.linalg.lstsq(rcond=None)``: singular values at or
+    below eps * max(m, n) * s_max count as zero.
+    """
+    u, s, vh = np.linalg.svd(jac, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    coef = np.einsum("bmi,bm->bi", u, rhs) * inv
+    return np.einsum("bij,bi->bj", vh, coef)
+
+
+def _fd_jacobians(problem, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobians (B, m, n); all 2n perturbed points of all
+    rows go through the batched kernel in one call."""
+    batch, n = x.shape
+    pts = np.repeat(x[:, None, :], 2 * n, axis=1)
+    for j in range(n):
+        pts[:, 2 * j, j] += h
+        pts[:, 2 * j + 1, j] -= h
+    rp = _batch_residual(pts.reshape(-1, n), problem).reshape(batch, 2 * n, -1)
+    return ((rp[:, 0::2] - rp[:, 1::2]) / (2 * h)).transpose(0, 2, 1)
+
+
 def _newton_batch(problem, seeds: np.ndarray, maxiter: int = 60, h: float = 1e-6):
     """Damped Gauss-Newton on all seeds in lockstep; returns (X, norms)."""
     fun = lambda x: _batch_residual(x, problem)
-    batch, n = seeds.shape
     X = seeds.copy()
     R = fun(X)
     rn = np.linalg.norm(R, axis=1)
-    active = np.ones(batch, dtype=bool)
+    active = np.ones(seeds.shape[0], dtype=bool)
     for _ in range(maxiter):
         active &= rn >= 1e-13
         ia = np.where(active)[0]
         if ia.size == 0:
             break
         xa = X[ia]
-        # central-difference Jacobians, all perturbations in one batch
-        pts = np.repeat(xa[:, None, :], 2 * n, axis=1)
-        for j in range(n):
-            pts[:, 2 * j, j] += h
-            pts[:, 2 * j + 1, j] -= h
-        rp = fun(pts.reshape(-1, n)).reshape(ia.size, 2 * n, -1)
-        steps = np.zeros_like(xa)
-        solvable = np.ones(ia.size, dtype=bool)
-        for k in range(ia.size):
-            jac = ((rp[k, 0::2] - rp[k, 1::2]) / (2 * h)).T
-            step, *_ = np.linalg.lstsq(jac, R[ia[k]], rcond=None)
-            if np.all(np.isfinite(step)):
-                steps[k] = step
-            else:
-                solvable[k] = False
+        jac = _fd_jacobians(problem, xa, h)
+        # a non-finite Jacobian abandons its seed instead of the whole batch
+        finite = np.all(np.isfinite(jac), axis=(1, 2))
+        jac[~finite] = 0.0
+        steps = _lstsq_steps(jac, R[ia])
+        solvable = finite & np.all(np.isfinite(steps), axis=1)
         lam = np.ones(ia.size)
         pending = solvable.copy()
         for _ls in range(12):
@@ -303,6 +319,27 @@ def solve(
 _ROUNDING_RADIUS_PI = 5.1e-5
 
 
+def _polish_start(problem, printed: np.ndarray) -> np.ndarray:
+    """Start of the catalog round-trip's Newton polish.
+
+    An isolated root (as many real constraints as free phases) is polished
+    from the printed phases.  Coefficients of palindromic trains are real,
+    so U9's one target leaves a single constraint on four phases: its roots
+    form a manifold, and the minimum-norm Newton step would find the root
+    nearest in 2-norm while the rounding radius bounds the max-norm.  Such a
+    polish starts at the max-norm-nearest point of the linearised root set,
+    beta * sign(v) / |v|_1.
+    """
+    if printed.size == 1:
+        return printed
+    jac = _fd_jacobians(problem, printed[None, :], 1e-6)[0]
+    u, s, vh = np.linalg.svd(jac, full_matrices=False)
+    if s[1] > 1e-8 * s[0]:  # finite-difference noise sits near 1e-11 * s[0]
+        return printed
+    beta = -(u[:, 0] @ _batch_residual(printed[None, :], problem)[0]) / s[0]
+    return printed + beta * np.sign(vh[0]) / np.sum(np.abs(vh[0]))
+
+
 @dataclass(frozen=True)
 class CatalogCheck:
     """One catalog entry checked against its listed nullified terms.
@@ -345,7 +382,8 @@ def verify_catalog(tol: float = CATALOG_PHASE_TOL) -> tuple[CatalogCheck, ...]:
             problem = NullificationProblem(len(seq), targets, model)
             printed = np.array(seq.phases[1 : 1 + problem.num_unknowns])
             max_abs = float(np.max(np.abs(residual(printed, problem))))
-            polished, rn = _newton_batch(problem, printed[None, :])
+            start = _polish_start(problem, printed)
+            polished, rn = _newton_batch(problem, start[None, :])
             polish_residual = float(rn[0])
             polish_distance = float(np.max(np.abs(polished[0] - printed))) / math.pi
             rounding_ok = (

@@ -169,3 +169,22 @@ def test_transform_ops(capsys):
 
     code, _, _ = run(["transform", "--seq", "B3", "--op", "add2pi:9:1"], capsys)
     assert code == cli.EXIT_USAGE
+
+
+def assert_usage_error(argv, capsys):
+    # a domain ValueError must surface as a one-line usage error, not exit 1
+    code, _, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_profile_too_few_points_exit_code(capsys):
+    assert_usage_error(["profile", "--seq", "B3", "--points", "1"], capsys)
+
+
+def test_solve_zero_seeds_exit_code(capsys):
+    assert_usage_error(["solve", "--n", "3", "--targets", "1,0", "--seeds", "0"], capsys)
+
+
+def test_coeffs_zero_caps_exit_code(capsys):
+    assert_usage_error(["coeffs", "--seq", "B3", "--caps", "0,0"], capsys)

@@ -146,6 +146,31 @@ def test_batched_path_matches_jet_path_triple():
             assert abs(batch[(i,) + idx] - c) < 1e-12
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize(
+    "model, caps, n_pulses",
+    [
+        (DOUBLE, (5, 1), 13),
+        (DOUBLE, (3, 2), 9),
+        (DOUBLE, (5, 2), 13),
+        (TRIPLE, (3, 1, 1), 9),
+        (TRIPLE, (5, 5, 2), 9),
+    ],
+)
+def test_batched_kernel_matches_jet_path_at_solver_caps(model, caps, n_pulses, batch):
+    # the caps the solver and the CLI use; coefficients reach ~4e5 at (5,5,2),
+    # so agreement is judged relative to the largest one of each train
+    rng = np.random.default_rng(10 * n_pulses + sum(caps) + batch)
+    phases = rng.uniform(-math.pi, math.pi, size=(batch, n_pulses))
+    got = expansion.u11_coefficients_batch(phases, model, caps)
+    assert got.shape == (batch, *(c + 1 for c in caps))
+    for row, train in zip(got, phases):
+        table = expansion.expand_u11(pi_pulse_train(train / math.pi), model, caps)
+        want = np.array([table.entries[idx] for idx in np.ndindex(row.shape)])
+        want = want.reshape(row.shape)
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_table_jsonable_roundtrip_shape():
     seq = pi_pulse_train([0.0, 2 / 3, 0.0])
     table = expansion.expand_u11(seq, DOUBLE, (1, 1))

@@ -134,3 +134,29 @@ def test_composition_around_nonzero_origin():
     derivs = [math.cos(t0), -math.sin(t0), -math.cos(t0), math.sin(t0), math.cos(t0)]
     for k, d in enumerate(derivs):
         assert c.coefficient((k,)) == pytest.approx(d / math.factorial(k), abs=1e-14)
+
+
+def direct_product(a, b):
+    """Truncated product by a double loop over both operands' multi-indices."""
+    out = np.zeros_like(a)
+    for i in np.ndindex(a.shape):
+        for j in np.ndindex(b.shape):
+            k = tuple(x + y for x, y in zip(i, j))
+            if all(x < n for x, n in zip(k, a.shape)):
+                out[k] += a[i] * b[j]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (6, 6, 3)])
+@pytest.mark.parametrize("density", [1.0, 0.2])
+def test_mul_coeffs_matches_direct_double_loop(shape, density):
+    rng = np.random.default_rng(len(shape) + int(10 * density))
+
+    def operand():
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return coeffs * (rng.random(shape) < density)
+
+    a, b = operand(), operand()
+    got = jets._mul_coeffs(a, b)
+    want = direct_product(a, b)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))

@@ -41,6 +41,50 @@ def test_batch_residual_matches_scalar():
         assert np.allclose(batch[i], solver.residual(interior[i], p), atol=1e-12)
 
 
+def test_batched_steps_match_per_seed_lstsq():
+    rng = np.random.default_rng(43)
+    jac = rng.standard_normal((6, 8, 4))
+    jac[1, :, 3] = jac[1, :, 0]  # rank 3: repeated column
+    jac[2] = np.outer(rng.standard_normal(8), rng.standard_normal(4))  # rank 1
+    jac[3] = 0.0  # no information: the minimum-norm step is zero
+    jac[4, :, 2] *= 1e-17  # a column below the lstsq cutoff
+    rhs = rng.standard_normal((6, 8))
+    steps = solver._lstsq_steps(jac, rhs)
+    for k in range(6):
+        want, *_ = np.linalg.lstsq(jac[k], rhs[k], rcond=None)
+        assert np.allclose(steps[k], want, rtol=1e-9, atol=1e-12)
+    assert np.all(steps[3] == 0.0)
+
+
+def test_non_finite_jacobian_abandons_only_its_seed(monkeypatch):
+    p = solver.NullificationProblem(5, ((1, 0), (1, 1)))
+    n = p.num_unknowns
+    real = solver._batch_residual
+    calls = []
+
+    def poisoned(x, problem):
+        out = real(x, problem)
+        calls.append(len(x))
+        if len(calls) == 2:  # the first Jacobian batch: seed 0 owns its first 2n rows
+            out[: 2 * n] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "_batch_residual", poisoned)
+    seeds = np.random.default_rng(0).uniform(-math.pi, math.pi, size=(20, n))
+    x, rn = solver._newton_batch(p, seeds)
+    assert calls[1] == 2 * n * len(seeds)
+    assert np.array_equal(x[0], seeds[0]) and np.isfinite(rn[0]) and rn[0] > 1e-3
+    converged = np.where(rn < 1e-10)[0]
+    assert converged.size >= 5
+    for k in converged:
+        assert np.linalg.norm(solver.residual(x[k], p)) < 1e-10
+
+    calls.clear()
+    sol = solver.solve(p, multistart=20, rng_seed=0)
+    assert sol.converged_seeds >= 5
+    assert all(r.residual_norm < 1e-10 for r in sol.solutions)
+
+
 def test_three_pulse_analytic_root():
     p = solver.NullificationProblem(3, ((1, 0),))
     sol = solver.solve(p, multistart=40, rng_seed=0)
