@@ -20,7 +20,7 @@ from phasecomp.su2 import DOUBLE
 
 
 def line(seq, eps, alpha):
-    return profiler._probability(seq, DOUBLE, alpha, 0.0, eps)
+    return profiler.probability(seq, DOUBLE, alpha, 0.0, eps)
 
 
 def main():

@@ -28,6 +28,11 @@ EXIT_UNWRITABLE = 4
 
 OUTDIR_ENV = "PHASECOMP_OUTDIR"
 
+# Input caps that bound memory: a profile grid holds several complex
+# (points, points) arrays and its text, a solve batches every seed at once.
+MAX_POINTS = 2001
+MAX_SEEDS = 10000
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -84,6 +89,11 @@ def _parse_targets(text: str) -> tuple[tuple[int, ...], ...]:
     return targets
 
 
+def _check_at_most(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise _CliError(f"{flag} {value} exceeds the limit of {cap}", EXIT_USAGE)
+
+
 def _parse_caps(text: str) -> tuple[int, ...]:
     try:
         caps = tuple(int(p) for p in text.split(","))
@@ -117,7 +127,7 @@ def _cmd_verify(args) -> int:
     # Appendix invariances on a 101-point pulse-area-error line
     alpha = np.linspace(-1.0, 1.0, 101)
     b5 = {n: catalog.get_sequence(n) for n in ("B5a", "B5b", "B5c", "B5d")}
-    p0 = {n: profiler._probability(s, DOUBLE, alpha, 0.0, 0.0) for n, s in b5.items()}
+    p0 = {n: profiler.probability(s, DOUBLE, alpha, 0.0, 0.0) for n, s in b5.items()}
     ident = max(float(np.max(np.abs(p0["B5a"] - p0[n]))) for n in ("B5b", "B5c", "B5d"))
     checks.append(
         {
@@ -127,7 +137,7 @@ def _cmd_verify(args) -> int:
         }
     )
     p_eps = {
-        n: profiler._probability(b5[n], DOUBLE, alpha, 0.0, 0.05) for n in ("B5a", "B5c")
+        n: profiler.probability(b5[n], DOUBLE, alpha, 0.0, 0.05) for n in ("B5a", "B5c")
     }
     split = float(np.max(np.abs(p_eps["B5a"] - p_eps["B5c"])))
     checks.append(
@@ -140,13 +150,13 @@ def _cmd_verify(args) -> int:
 
     seq = catalog.get_sequence("B5a")
     eps_grid = np.linspace(-0.1, 0.1, 21)[None, :]
-    base = profiler._probability(seq, DOUBLE, alpha[:, None], 0.0, eps_grid)
+    base = profiler.probability(seq, DOUBLE, alpha[:, None], 0.0, eps_grid)
     for label, variant in (
         ("sign-flip-invariance", catalog.sign_flip(seq)),
         ("global-shift-invariance", catalog.global_shift(seq, 0.5)),
         ("reversal-invariance", catalog.reverse(seq)),
     ):
-        other = profiler._probability(variant, DOUBLE, alpha[:, None], 0.0, eps_grid)
+        other = profiler.probability(variant, DOUBLE, alpha[:, None], 0.0, eps_grid)
         diff = float(np.max(np.abs(base - other)))
         checks.append(
             {"check": label, "detail": f"max|dp|={diff:.3e}", "passed": diff < 1e-12}
@@ -177,6 +187,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_at_most("--seeds", args.seeds, MAX_SEEDS)
     targets = _parse_targets(args.targets)
     model = DOUBLE if len(targets[0]) == 2 else TRIPLE
     if args.model and args.model != model.kind:
@@ -204,6 +215,7 @@ def _cmd_solve(args) -> int:
 def _cmd_profile(args) -> int:
     seq = _get_sequence(args.seq)
     model = DOUBLE if args.model == "double" else TRIPLE
+    _check_at_most("--points", args.points, MAX_POINTS)
     try:
         axes = profiler.default_axes(model, args.points)
     except ValueError as exc:
@@ -330,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--targets", required=True, help='indices like "1,0;1,1" (triple: "1,0,0;...")'
     )
-    p.add_argument("--seeds", type=int, default=200, help="number of Newton starts")
+    p.add_argument(
+        "--seeds", type=int, default=200, help=f"number of Newton starts (1 to {MAX_SEEDS})"
+    )
     p.add_argument("--rng", type=int, default=0, help="random seed")
     p.add_argument("--model", choices=("double", "triple"))
     p.add_argument("--out", help="output JSON path")
@@ -340,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--model", choices=("double", "triple"), default="double")
     p.add_argument("--eps", type=float, default=0.0, help="fixed phase error (triple)")
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument(
+        "--points", type=int, default=201, help=f"grid nodes per axis (2 to {MAX_POINTS})"
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--metrics", action="store_true", help="also emit region metrics")
     p.add_argument("--rng", type=int, default=0)

@@ -28,6 +28,7 @@ __all__ = [
     "RegionMetrics",
     "LEVELS",
     "default_axes",
+    "probability",
     "scan",
     "region_metrics",
     "compare",
@@ -131,7 +132,7 @@ def _error_fields(model: ErrorModel, assignments: dict):
     return alpha, delta, eps
 
 
-def _probability(seq: CompositeSequence, model: ErrorModel, alpha, delta, eps):
+def probability(seq: CompositeSequence, model: ErrorModel, alpha, delta, eps):
     """Vectorized transition probability; arguments broadcast together."""
     shape = np.broadcast(np.asarray(alpha), np.asarray(delta), np.asarray(eps)).shape
     a = np.ones(shape, dtype=complex)
@@ -176,75 +177,77 @@ def scan(
     assignments[x.name] = x.values()[:, None]
     assignments[y.name] = y.values()[None, :]
     alpha, delta, eps = _error_fields(model, assignments)
-    values = _probability(seq, model, alpha, delta, eps)
+    values = probability(seq, model, alpha, delta, eps)
     return ProfileGrid(seq=seq, model=model, x=x, y=y, fixed=fixed, values=values)
 
 
-def _line_probability(grid: ProfileGrid, axis: AxisSpec, other: AxisSpec):
-    """Scalar probability along `axis` with the other scanned variable at its origin."""
+def _origin_line_widths(
+    grid: ProfileGrid, axis: AxisSpec, other: AxisSpec, tol: float = 1e-4
+) -> dict:
+    """Length of the super-level interval along `axis` through the origin, per m.
 
-    def f(t: float) -> float:
+    The other scanned variable sits at its origin.  Each interval is bracketed
+    on the scan nodes and its edges are refined by bisection to `tol` axis
+    units; it is clipped at the scan range.  One probability call evaluates
+    the nodes and the origin, and every edge of every level is bisected
+    together, one call per step.
+    """
+
+    def f(t: np.ndarray) -> np.ndarray:
         assignments = dict(grid.fixed)
         assignments[axis.name] = t
         assignments[other.name] = other.origin
-        alpha, delta, eps = _error_fields(grid.model, assignments)
-        return float(_probability(grid.seq, grid.model, alpha, delta, eps))
+        return probability(grid.seq, grid.model, *_error_fields(grid.model, assignments))
 
-    return f
-
-
-def _axis_width(grid: ProfileGrid, axis: AxisSpec, other: AxisSpec, level: float) -> float:
-    """Length of the super-level interval along the axis through the origin.
-
-    The interval is bracketed on the scan nodes and refined by bisection to
-    1e-4 axis units; it is clipped at the scan range.
-    """
-    f = _line_probability(grid, axis, other)
     t = axis.values()
-    origin = axis.origin
-    if f(origin) < level:
-        return 0.0
-    p = np.array([f(v) for v in t])
-    i0 = int(np.argmin(np.abs(t - origin)))
-    if p[i0] < level:
-        # nearest node already below the level: the region is narrower than
-        # one cell; bisect between the origin and its neighbours directly
-        lo_edge = _bisect_edge(f, origin, t[max(i0 - 1, 0)], level)
-        hi_edge = _bisect_edge(f, origin, t[min(i0 + 1, len(t) - 1)], level)
-        return hi_edge - lo_edge
-
-    i_lo = i0
-    while i_lo > 0 and p[i_lo - 1] >= level:
-        i_lo -= 1
-    i_hi = i0
-    while i_hi < len(t) - 1 and p[i_hi + 1] >= level:
-        i_hi += 1
-    lo = t[i_lo] if i_lo == 0 else _bisect_edge(f, t[i_lo], t[i_lo - 1], level)
-    hi = t[i_hi] if i_hi == len(t) - 1 else _bisect_edge(f, t[i_hi], t[i_hi + 1], level)
-    return float(hi - lo)
-
-
-def _bisect_edge(f, inside: float, outside: float, level: float, tol: float = 1e-4) -> float:
-    if f(outside) >= level:
-        return outside
-    while abs(outside - inside) > tol:
-        mid = 0.5 * (inside + outside)
-        if f(mid) >= level:
-            inside = mid
+    last = len(t) - 1
+    p = f(np.append(t, axis.origin))
+    p_origin, p = p[-1], p[:-1]
+    i0 = int(np.argmin(np.abs(t - axis.origin)))
+    bounds = {}  # m -> [lo, hi]
+    edges = []  # (m, side, inside, outside, level) of each edge left to bisect
+    for m, level in LEVELS:
+        if p_origin < level:
+            continue
+        if p[i0] < level:
+            # nearest node already below the level: the region is narrower than
+            # one cell; bisect between the origin and its neighbours directly
+            brackets = ((axis.origin, max(i0 - 1, 0)), (axis.origin, min(i0 + 1, last)))
         else:
-            outside = mid
-    return 0.5 * (inside + outside)
+            i_lo = i0
+            while i_lo > 0 and p[i_lo - 1] >= level:
+                i_lo -= 1
+            i_hi = i0
+            while i_hi < last and p[i_hi + 1] >= level:
+                i_hi += 1
+            brackets = ((t[i_lo], i_lo - 1), (t[i_hi], i_hi + 1))
+        bounds[m] = [0.0, 0.0]
+        for side, (inside, out) in enumerate(brackets):
+            if not 0 <= out <= last:
+                bounds[m][side] = inside  # clipped at the scan range
+            elif p[out] >= level:
+                bounds[m][side] = t[out]
+            else:
+                edges.append((m, side, inside, t[out], level))
+    if edges:
+        m_of, side_of, inside, outside, level_of = (np.array(c) for c in zip(*edges))
+        todo = np.abs(outside - inside) > tol
+        while todo.any():
+            mid = 0.5 * (inside[todo] + outside[todo])
+            above = f(mid) >= level_of[todo]
+            inside[todo] = np.where(above, mid, inside[todo])
+            outside[todo] = np.where(above, outside[todo], mid)
+            todo = np.abs(outside - inside) > tol
+        for m, side, edge in zip(m_of.tolist(), side_of.tolist(), 0.5 * (inside + outside)):
+            bounds[m][side] = edge
+    return {m: float(bounds[m][1] - bounds[m][0]) if m in bounds else 0.0 for m, _ in LEVELS}
 
 
 def region_metrics(grid: ProfileGrid) -> RegionMetrics:
     """Super-level cell fractions and origin-line widths for m = 2, 3, 4."""
-    cell_fraction = {}
-    width_x = {}
-    width_y = {}
-    for m, level in LEVELS:
-        cell_fraction[m] = float(np.mean(grid.values >= level))
-        width_x[m] = _axis_width(grid, grid.x, grid.y, level)
-        width_y[m] = _axis_width(grid, grid.y, grid.x, level)
+    cell_fraction = {m: float(np.mean(grid.values >= level)) for m, level in LEVELS}
+    width_x = _origin_line_widths(grid, grid.x, grid.y)
+    width_y = _origin_line_widths(grid, grid.y, grid.x)
     return RegionMetrics(cell_fraction=cell_fraction, width_x=width_x, width_y=width_y)
 
 
@@ -301,11 +304,10 @@ def grid_to_csv(grid: ProfileGrid, header_extra: str = "") -> str:
         meta += f" {header_extra}"
     lines.append(meta)
     lines.append(f"{grid.x.name},{grid.y.name},p")
-    xv = grid.x.values()
-    yv = grid.y.values()
-    for i, xi in enumerate(xv):
-        for j, yj in enumerate(yv):
-            lines.append(f"{xi:.17g},{yj:.17g},{grid.values[i, j]:.17g}")
+    xs = [f"{v:.17g}," for v in grid.x.values().tolist()]
+    ys = [f"{v:.17g}," for v in grid.y.values().tolist()]
+    for xi, row in zip(xs, grid.values):
+        lines.extend(f"{xi}{yj}{v:.17g}" for yj, v in zip(ys, row.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -315,5 +317,5 @@ def grid_to_jsonable(grid: ProfileGrid) -> dict:
         "model": grid.model.kind,
         "axes": [grid.x.to_jsonable(), grid.y.to_jsonable()],
         "fixed": dict(sorted(grid.fixed.items())),
-        "values": [[float(v) for v in row] for row in grid.values],
+        "values": grid.values.tolist(),
     }

@@ -13,6 +13,13 @@ import math
 __all__ = ["dumps"]
 
 
+def _is_finite_float_list(obj) -> bool:
+    """True when every item is a finite Python float: such a list is emitted
+    with one join, text-identical to the item-by-item path below (which also
+    raises for a non-finite item)."""
+    return all(type(v) is float for v in obj) and all(map(math.isfinite, obj))
+
+
 def _emit(obj, parts: list, indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
@@ -31,6 +38,10 @@ def _emit(obj, parts: list, indent: int, level: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
+            return
+        if _is_finite_float_list(obj):
+            parts.append("[\n" + pad + f",\n{pad}".join([f"{v:.17g}" for v in obj]))
+            parts.append("\n" + close_pad + "]")
             return
         parts.append("[\n")
         for i, item in enumerate(obj):

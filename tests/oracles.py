@@ -146,3 +146,45 @@ def float_fd_coefficient(f, index, steps=(1e-2, 5e-3)):
     d1, d2 = stencil(steps[0]), stencil(steps[1])
     scale = math.prod(factorial(j) for j in index)
     return (4 * d2 - d1) / 3 / scale
+
+
+def axis_width(f, t, origin, level, tol=1e-4):
+    """Length of the super-level interval of `f` through `origin`, node by node.
+
+    Scalar reference for the profiler's origin-line widths: `f` maps one axis
+    value to a probability, `t` holds the scan nodes.  The interval is
+    bracketed on the nodes, its edges are bisected to `tol`, and it is
+    clipped at the node range.
+    """
+    if f(origin) < level:
+        return 0.0
+    p = np.array([f(v) for v in t])
+    i0 = int(np.argmin(np.abs(t - origin)))
+    if p[i0] < level:
+        # the region is narrower than one cell around the origin
+        lo_edge = bisect_edge(f, origin, t[max(i0 - 1, 0)], level, tol)
+        hi_edge = bisect_edge(f, origin, t[min(i0 + 1, len(t) - 1)], level, tol)
+        return hi_edge - lo_edge
+
+    i_lo = i0
+    while i_lo > 0 and p[i_lo - 1] >= level:
+        i_lo -= 1
+    i_hi = i0
+    while i_hi < len(t) - 1 and p[i_hi + 1] >= level:
+        i_hi += 1
+    lo = t[i_lo] if i_lo == 0 else bisect_edge(f, t[i_lo], t[i_lo - 1], level, tol)
+    hi = t[i_hi] if i_hi == len(t) - 1 else bisect_edge(f, t[i_hi], t[i_hi + 1], level, tol)
+    return float(hi - lo)
+
+
+def bisect_edge(f, inside, outside, level, tol=1e-4):
+    """Where `f` crosses `level` between an inside and an outside point."""
+    if f(outside) >= level:
+        return outside
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if f(mid) >= level:
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)

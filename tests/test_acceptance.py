@@ -259,23 +259,23 @@ def test_criterion_07_transformation_invariances():
     alpha = np.linspace(-1.0, 1.0, 101)[:, None]
     eps0 = np.zeros((1, 1))
     b5 = {n: catalog.get_sequence(n) for n in ("B5a", "B5b", "B5c", "B5d")}
-    p0 = {n: profiler._probability(s, DOUBLE, alpha, 0.0, eps0) for n, s in b5.items()}
+    p0 = {n: profiler.probability(s, DOUBLE, alpha, 0.0, eps0) for n, s in b5.items()}
     ident = max(
         float(np.max(np.abs(p0["B5a"] - p0[n]))) for n in ("B5b", "B5c", "B5d")
     )
 
     # the split threshold is derived from the grid itself, not assumed
-    pa = profiler._probability(b5["B5a"], DOUBLE, alpha, 0.0, 0.05)
-    pc = profiler._probability(b5["B5c"], DOUBLE, alpha, 0.0, 0.05)
+    pa = profiler.probability(b5["B5a"], DOUBLE, alpha, 0.0, 0.05)
+    pc = profiler.probability(b5["B5c"], DOUBLE, alpha, 0.0, 0.05)
     split = float(np.max(np.abs(pa - pc)))
 
     seq = b5["B5a"]
     eps = np.full((1, 1), 0.1)
-    base = profiler._probability(seq, DOUBLE, alpha, 0.0, eps)
+    base = profiler.probability(seq, DOUBLE, alpha, 0.0, eps)
     inv = max(
         float(
             np.max(
-                np.abs(base - profiler._probability(v, DOUBLE, alpha, 0.0, eps))
+                np.abs(base - profiler.probability(v, DOUBLE, alpha, 0.0, eps))
             )
         )
         for v in (

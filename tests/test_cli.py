@@ -188,3 +188,13 @@ def test_solve_zero_seeds_exit_code(capsys):
 
 def test_coeffs_zero_caps_exit_code(capsys):
     assert_usage_error(["coeffs", "--seq", "B3", "--caps", "0,0"], capsys)
+
+
+def test_profile_points_over_cap_exit_code(capsys):
+    argv = ["profile", "--seq", "B3", "--points", str(cli.MAX_POINTS + 1)]
+    assert_usage_error(argv, capsys)
+
+
+def test_solve_seeds_over_cap_exit_code(capsys):
+    argv = ["solve", "--n", "3", "--targets", "1,0", "--seeds", str(cli.MAX_SEEDS + 1)]
+    assert_usage_error(argv, capsys)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -157,3 +158,135 @@ def test_grid_jsonable():
     assert data["model"] == "triple"
     assert data["fixed"] == {"eps": 0.1}
     assert len(data["values"]) == 5 and len(data["values"][0]) == 5
+
+
+def _scalar_line(grid, axis, other):
+    """Probability along `axis` with the other scanned variable at its origin,
+    one scalar call per point."""
+    point = dict(grid.fixed)
+    point[other.name] = other.origin
+
+    @functools.lru_cache(maxsize=None)
+    def f(v):
+        point[axis.name] = v
+        alpha = point["alpha"] if "alpha" in point else point.get("omega", 1.0) - 1.0
+        return float(
+            profiler.probability(
+                grid.seq, grid.model, alpha, point.get("delta", 0.0), point.get("eps", 0.0)
+            )
+        )
+
+    return f
+
+
+def _oracle_widths(grid):
+    widths = {}
+    for name, axis, other in (("x", grid.x, grid.y), ("y", grid.y, grid.x)):
+        f = _scalar_line(grid, axis, other)
+        widths[name] = {
+            m: oracles.axis_width(f, axis.values(), axis.origin, level)
+            for m, level in profiler.LEVELS
+        }
+    return widths
+
+
+def _assert_widths_match_oracle(grid):
+    metrics = profiler.region_metrics(grid)
+    want = _oracle_widths(grid)
+    for m, _ in profiler.LEVELS:
+        assert metrics.width_x[m] == pytest.approx(want["x"][m], abs=1e-12)
+        assert metrics.width_y[m] == pytest.approx(want["y"][m], abs=1e-12)
+    return metrics
+
+
+@pytest.mark.parametrize(
+    "model, eps",
+    [(DOUBLE, None), (TRIPLE, 0.0), (TRIPLE, 0.05), (TRIPLE, 0.1)],
+    ids=["double", "triple-eps0", "triple-eps0.05", "triple-eps0.1"],
+)
+def test_widths_match_scalar_oracle_for_catalog(model, eps):
+    axes = profiler.default_axes(model, 41)
+    fixed = {} if eps is None else {"eps": eps}
+    for name in catalog.names():
+        grid = profiler.scan(catalog.get_sequence(name), model, axes, fixed)
+        _assert_widths_match_oracle(grid)
+
+
+def test_width_is_zero_when_origin_is_below_level():
+    # two pi pulses undo each other: p = 0 at the origin
+    grid = profiler.scan(
+        pi_pulse_train([0.0, 0.0]), DOUBLE, profiler.default_axes(DOUBLE, 21)
+    )
+    for axis, other in ((grid.x, grid.y), (grid.y, grid.x)):
+        assert _scalar_line(grid, axis, other)(axis.origin) < profiler.LEVELS[0][1]
+    metrics = _assert_widths_match_oracle(grid)
+    assert all(w == 0.0 for w in (*metrics.width_x.values(), *metrics.width_y.values()))
+
+
+def test_sub_cell_width_bisects_around_an_off_node_origin():
+    # nodes -1, -1/3, 1/3, 1: the origin is no node, and the nearest node has
+    # p = cos^2(pi/6) = 0.75, below every level
+    axes = (profiler.AxisSpec("alpha", -1.0, 1.0, 4), profiler.AxisSpec("eps", -0.25, 0.25, 5))
+    grid = profiler.scan(pi_pulse_train([0.0]), DOUBLE, axes)
+    f = _scalar_line(grid, grid.x, grid.y)
+    t = grid.x.values()
+    assert 0.0 not in t
+    assert max(f(t[1]), f(t[2])) < profiler.LEVELS[0][1] <= f(0.0)
+    metrics = _assert_widths_match_oracle(grid)
+    for m, _ in profiler.LEVELS:
+        expected = (4 / math.pi) * math.asin(10 ** (-m / 2))
+        assert metrics.width_x[m] == pytest.approx(expected, abs=2e-4)
+
+
+def test_sub_cell_edge_stops_at_a_neighbour_node_inside_the_region():
+    # nodes -2 and 0.4: the origin's nearest node has p = cos^2(0.2 pi), below
+    # every level, while the far neighbour at alpha = -2 has p = 1
+    axes = (profiler.AxisSpec("alpha", -2.0, 0.4, 2), profiler.AxisSpec("eps", -0.25, 0.25, 5))
+    grid = profiler.scan(pi_pulse_train([0.0]), DOUBLE, axes)
+    f = _scalar_line(grid, grid.x, grid.y)
+    assert f(0.4) < profiler.LEVELS[0][1] and f(-2.0) >= profiler.LEVELS[-1][1]
+    metrics = _assert_widths_match_oracle(grid)
+    for m, _ in profiler.LEVELS:
+        expected = 2.0 + (2 / math.pi) * math.asin(10 ** (-m / 2))
+        assert metrics.width_x[m] == pytest.approx(expected, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "start, stop, clipped, bisected", [(-0.005, 1.0, 0, -1), (-1.0, 0.005, -1, 0)]
+)
+def test_width_clips_at_either_end_of_the_scan_range(start, stop, clipped, bisected):
+    # p(alpha) = cos^2(pi alpha / 2) stays above 0.99 within +-0.0638
+    axes = (
+        profiler.AxisSpec("alpha", start, stop, 201),
+        profiler.AxisSpec("eps", -0.25, 0.25, 5),
+    )
+    grid = profiler.scan(pi_pulse_train([0.0]), DOUBLE, axes)
+    f = _scalar_line(grid, grid.x, grid.y)
+    t = grid.x.values()
+    level = dict(profiler.LEVELS)[2]
+    assert f(t[clipped]) >= level > f(t[bisected])
+    metrics = _assert_widths_match_oracle(grid)
+    half = (2 / math.pi) * math.asin(0.1)
+    assert metrics.width_x[2] == pytest.approx(half + 0.005, abs=1e-4)
+
+
+def _csv_reference(grid, header_extra=""):
+    """Per-cell formatting, the layout grid_to_csv must reproduce."""
+    fixed = " ".join(f"{k}={v:g}" for k, v in sorted(grid.fixed.items()))
+    meta = f"# seq={grid.seq.label} model={grid.model.kind}"
+    if fixed:
+        meta += f" {fixed}"
+    if header_extra:
+        meta += f" {header_extra}"
+    lines = [meta, f"{grid.x.name},{grid.y.name},p"]
+    for i, xi in enumerate(grid.x.values()):
+        for j, yj in enumerate(grid.y.values()):
+            lines.append(f"{xi:.17g},{yj:.17g},{grid.values[i, j]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_per_cell_reference():
+    axes = (profiler.AxisSpec("omega", 0.0, 2.0, 7), profiler.AxisSpec("delta", -1.0, 1.0, 5))
+    grid = profiler.scan(catalog.get_sequence("T9"), TRIPLE, axes, fixed={"eps": 0.05})
+    assert profiler.grid_to_csv(grid, "rng_seed=3") == _csv_reference(grid, "rng_seed=3")
+
