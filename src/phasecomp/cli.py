@@ -253,7 +253,8 @@ def _cmd_profile(args) -> int:
             }
         )
         if args.out:
-            target = _write_text(Path(args.out).stem + ".metrics.json", mtext)
+            out = Path(args.out)
+            target = _write_text(str(out.with_name(out.stem + ".metrics.json")), mtext)
             print(f"wrote {target}")
         else:
             sys.stdout.write(mtext)

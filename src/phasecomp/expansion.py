@@ -165,7 +165,7 @@ def u11_coefficients_batch(
     state = np.zeros((2 * batch, size), dtype=complex)
     state[:batch, 0] = 1.0
     for p in range(n_pulses):
-        conj = state.conj().reshape(2 * batch, -1, k_len)
+        conj = state.conj().reshape(2 * batch, size // k_len, k_len)
         f = pf[:, p]
         phased = conj * f[..., :1]
         for m in range(1, k_len):

@@ -16,7 +16,7 @@ artifact choices covering the quoted tolerance claims.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,31 +133,43 @@ def _error_fields(model: ErrorModel, assignments: dict):
 
 
 def probability(seq: CompositeSequence, model: ErrorModel, alpha, delta, eps):
-    """Vectorized transition probability; arguments broadcast together."""
+    """Vectorized transition probability; arguments broadcast together.
+
+    A pulse's factors apart from its phase depend only on the pulse with its
+    phase zeroed, so pulses that differ only in phase share one evaluation.
+    """
     shape = np.broadcast(np.asarray(alpha), np.asarray(delta), np.asarray(eps)).shape
     a = np.ones(shape, dtype=complex)
     b = np.zeros(shape, dtype=complex)
+    phase_scale = 1.0 + np.asarray(eps)
+    factors = {}  # phase-free pulse -> (pa, pb at zero phase)
     for pulse in seq.pulses:
-        if model.kind == "double":
-            half = 0.5 * pulse.area * (1.0 + np.asarray(alpha))
-            pa = np.cos(half).astype(complex)
-            pb = -1j * np.sin(half) * np.exp(1j * pulse.phase * (1.0 + np.asarray(eps)))
-        else:
-            om = pulse.rabi * (1.0 + np.asarray(alpha))
-            de = pulse.detuning + model.nominal_rabi * np.asarray(delta)
-            w = np.hypot(om, de)
-            half = 0.5 * w * pulse.duration
-            small = w * pulse.duration < 1e-8
-            w_safe = np.where(small, 1.0, w)
-            sin_over_w = np.where(
-                small,
-                0.5 * pulse.duration * (1.0 - half * half / 6.0),
-                np.sin(half) / w_safe,
-            )
-            pa = np.cos(half) - 1j * de * sin_over_w
-            pb = -1j * om * sin_over_w * np.exp(1j * pulse.phase * (1.0 + np.asarray(eps)))
+        key = replace(pulse, phase=0.0)
+        if key not in factors:
+            factors[key] = _phase_free_factors(pulse, model, alpha, delta)
+        pa, pb0 = factors[key]
+        pb = pb0 * np.exp(1j * pulse.phase * phase_scale)
         a, b = pa * a - pb * np.conj(b), pa * b + pb * np.conj(a)
     return np.abs(b) ** 2
+
+
+def _phase_free_factors(pulse, model: ErrorModel, alpha, delta):
+    """(a, b / exp(i*phase*(1+eps))) of one pulse's Cayley-Klein pair."""
+    if model.kind == "double":
+        half = 0.5 * pulse.area * (1.0 + np.asarray(alpha))
+        return np.cos(half).astype(complex), -1j * np.sin(half)
+    om = pulse.rabi * (1.0 + np.asarray(alpha))
+    de = pulse.detuning + model.nominal_rabi * np.asarray(delta)
+    w = np.hypot(om, de)
+    half = 0.5 * w * pulse.duration
+    small = w * pulse.duration < 1e-8
+    w_safe = np.where(small, 1.0, w)
+    sin_over_w = np.where(
+        small,
+        0.5 * pulse.duration * (1.0 - half * half / 6.0),
+        np.sin(half) / w_safe,
+    )
+    return np.cos(half) - 1j * de * sin_over_w, -1j * om * sin_over_w
 
 
 def scan(

@@ -3,7 +3,11 @@
 A nullification problem fixes the sequence length N = 2n+1 and an ordered
 set of at most n coefficient multi-indices; the unknowns are the n interior
 phases of the symmetric pi-pulse train.  The residual stacks the real and
-imaginary parts of the targeted coefficients, computed with jet arithmetic.
+imaginary parts of the targeted coefficients.  Newton iterations, line
+searches and the reported residual norms all evaluate it in batches through
+:func:`expansion.u11_coefficients_batch`; :func:`residual` is the scalar
+jet-arithmetic path, used by the catalog check and by the tests to re-verify
+solved roots.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ def symmetric_train(interior_phases_rad) -> CompositeSequence:
 
 
 def residual(phases_rad, problem: NullificationProblem) -> np.ndarray:
-    """Stacked (Re, Im) of each targeted coefficient at the given phases."""
+    """Stacked (Re, Im) of each targeted coefficient at the given phases,
+    through jet arithmetic."""
     phases_rad = np.asarray(phases_rad, dtype=float)
     if phases_rad.shape != (problem.num_unknowns,):
         raise ValueError(
@@ -149,11 +154,8 @@ def _full_phase_lists(interior: np.ndarray) -> np.ndarray:
 
 
 def _batch_residual(interior: np.ndarray, problem: NullificationProblem) -> np.ndarray:
-    """Residuals for a batch of interior-phase vectors, shape (B, 2*targets).
-
-    Uses the batched convolution path; the scalar :func:`residual` goes
-    through jet arithmetic and cross-checks it.
-    """
+    """Residuals for a batch of interior-phase vectors, shape (B, 2*targets),
+    through the batched convolution path."""
     coeffs = expansion.u11_coefficients_batch(
         _full_phase_lists(interior), problem.model, problem.caps
     )
@@ -191,6 +193,39 @@ def _fd_jacobians(problem, x: np.ndarray, h: float) -> np.ndarray:
     return ((rp[:, 0::2] - rp[:, 1::2]) / (2 * h)).transpose(0, 2, 1)
 
 
+# Armijo step lengths 1, 1/2, ..., 2**-11: a seed none of them improves is
+# abandoned.
+_STEP_LENGTHS = 0.5 ** np.arange(12)
+
+
+def _backtrack(fun, X, R, rn, ia, steps, solvable) -> np.ndarray:
+    """Armijo backtracking for the rows `ia` of X, in at most two kernel calls.
+
+    The full step is tried for every solvable row; the rows it fails are
+    tried at every shorter length together, and each takes its longest
+    passing length.  Accepted rows of X, R and rn are updated in place; the
+    mask of rows with no passing length (or no step) is returned.
+    """
+    accepted = np.zeros(ia.size, dtype=bool)
+    idx = np.where(solvable)[0]
+    for lam in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):
+        if idx.size == 0:
+            break
+        xn = X[ia[idx], None, :] - lam[None, :, None] * steps[idx, None, :]
+        rnew = fun(xn.reshape(-1, X.shape[1])).reshape(idx.size, lam.size, -1)
+        rnn = np.linalg.norm(rnew, axis=2)
+        good = (rnn < rn[ia[idx], None] * (1.0 - 0.25 * lam)) | (rnn < 1e-13)
+        first = np.argmax(good, axis=1)
+        hit = np.any(good, axis=1)
+        rows, pick = ia[idx[hit]], first[hit]
+        X[rows] = xn[hit, pick]
+        R[rows] = rnew[hit, pick]
+        rn[rows] = rnn[hit, pick]
+        accepted[idx[hit]] = True
+        idx = idx[~hit]
+    return ~accepted
+
+
 def _newton_batch(problem, seeds: np.ndarray, maxiter: int = 60, h: float = 1e-6):
     """Damped Gauss-Newton on all seeds in lockstep; returns (X, norms)."""
     fun = lambda x: _batch_residual(x, problem)
@@ -203,40 +238,33 @@ def _newton_batch(problem, seeds: np.ndarray, maxiter: int = 60, h: float = 1e-6
         ia = np.where(active)[0]
         if ia.size == 0:
             break
-        xa = X[ia]
-        jac = _fd_jacobians(problem, xa, h)
+        jac = _fd_jacobians(problem, X[ia], h)
         # a non-finite Jacobian abandons its seed instead of the whole batch
         finite = np.all(np.isfinite(jac), axis=(1, 2))
         jac[~finite] = 0.0
         steps = _lstsq_steps(jac, R[ia])
         solvable = finite & np.all(np.isfinite(steps), axis=1)
-        lam = np.ones(ia.size)
-        pending = solvable.copy()
-        for _ls in range(12):
-            idx = np.where(pending)[0]
-            if idx.size == 0:
-                break
-            xn = xa[idx] - lam[idx, None] * steps[idx]
-            rnew = fun(xn)
-            rnn = np.linalg.norm(rnew, axis=1)
-            good = (rnn < rn[ia[idx]] * (1.0 - 0.25 * lam[idx])) | (rnn < 1e-13)
-            hit = idx[good]
-            X[ia[hit]] = xn[good]
-            R[ia[hit]] = rnew[good]
-            rn[ia[hit]] = rnn[good]
-            pending[hit] = False
-            lam[idx[~good]] *= 0.5
         # seeds that could not be improved are abandoned
-        active[ia[pending | ~solvable]] = False
+        active[ia[_backtrack(fun, X, R, rn, ia, steps, solvable)]] = False
     return X, rn
 
 
-def _canonical_sign(phases: np.ndarray) -> np.ndarray:
-    """Flip the overall sign so the first nonzero phase is positive."""
-    for p in phases:
-        if abs(p) > 1e-9:
-            return -phases if p < 0 else phases
-    return phases
+def _canonical_signs(X: np.ndarray) -> np.ndarray:
+    """Flip each row's sign so its first phase beyond 1e-9 is positive."""
+    big = np.abs(X) > 1e-9
+    lead = X[np.arange(X.shape[0]), np.argmax(big, axis=1)]
+    return np.where((np.any(big, axis=1) & (lead < 0))[:, None], -X, X)
+
+
+def _distinct_rows(X: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of X at least `tol` in max-norm from every earlier kept row."""
+    kept = np.empty_like(X)
+    count = 0
+    for x in X:
+        if count == 0 or np.min(np.max(np.abs(kept[:count] - x), axis=1)) >= tol:
+            kept[count] = x
+            count += 1
+    return kept[:count]
 
 
 def _in_range(phases: np.ndarray, policy: str) -> bool:
@@ -269,10 +297,10 @@ def solve(
     """Damped Gauss-Newton from uniform random seeds in (-pi, pi]^n.
 
     Converged roots are sign-canonicalized, deduplicated at 1e-6 phase
-    distance (never modulo 2*pi: shifted phases behave differently under a
-    phase error), flagged against the range policy, and sorted by profile
-    broadness.  Identical rng_seed and multistart reproduce an identical
-    solution set.
+    distance in order of their seeds (never modulo 2*pi: shifted phases
+    behave differently under a phase error), flagged against the range
+    policy, and sorted by profile broadness, then residual norm.  Identical
+    rng_seed and multistart reproduce an identical solution set.
     """
     if multistart < 1:
         raise ValueError("multistart must be >= 1")
@@ -281,34 +309,24 @@ def solve(
     seeds = rng.uniform(-math.pi, math.pi, size=(multistart, n))
     X, rn_all = _newton_batch(problem, seeds)
 
-    converged = 0
-    roots: list[np.ndarray] = []
-    for x, rn in zip(X, rn_all):
-        if rn >= _CONVERGENCE_TOL:
-            continue
-        converged += 1
-        x = _canonical_sign(x)
-        if not any(np.max(np.abs(x - r)) < _DEDUP_TOL for r in roots):
-            roots.append(x)
-
-    solutions = []
-    for x in roots:
-        # re-verified through the independent scalar jet path
-        rn = float(np.linalg.norm(residual(x, problem)))
-        solutions.append(
-            Root(
-                phases=tuple(float(v) for v in x),
-                residual_norm=rn,
-                in_range=_in_range(x, problem.range_policy),
-                broadness=_broadness(x, problem, broadness_points),
-            )
+    ok = rn_all < _CONVERGENCE_TOL
+    roots = _distinct_rows(_canonical_signs(X[ok]), _DEDUP_TOL)
+    norms = np.linalg.norm(_batch_residual(roots, problem), axis=1)
+    solutions = [
+        Root(
+            phases=tuple(float(v) for v in x),
+            residual_norm=float(rn),
+            in_range=_in_range(x, problem.range_policy),
+            broadness=_broadness(x, problem, broadness_points),
         )
+        for x, rn in zip(roots, norms)
+    ]
     solutions.sort(key=lambda r: (-r.broadness, r.residual_norm, r.phases))
     return SolutionSet(
         solutions=tuple(solutions),
         seed_count=multistart,
         rng_seed=rng_seed,
-        converged_seeds=converged,
+        converged_seeds=int(np.count_nonzero(ok)),
     )
 
 

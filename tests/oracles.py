@@ -188,3 +188,77 @@ def bisect_edge(f, inside, outside, level, tol=1e-4):
         else:
             outside = mid
     return 0.5 * (inside + outside)
+
+
+def pulse_by_pulse_probability(seq, model, alpha, delta, eps):
+    """Transition probability with every pulse's factors evaluated afresh.
+
+    Reference for the profiler kernel, which evaluates the phase-free
+    factors once per distinct pulse: the arithmetic is the same, so the two
+    must agree bit for bit.
+    """
+    shape = np.broadcast(np.asarray(alpha), np.asarray(delta), np.asarray(eps)).shape
+    a = np.ones(shape, dtype=complex)
+    b = np.zeros(shape, dtype=complex)
+    for pulse in seq.pulses:
+        if model.kind == "double":
+            half = 0.5 * pulse.area * (1.0 + np.asarray(alpha))
+            pa = np.cos(half).astype(complex)
+            pb = -1j * np.sin(half) * np.exp(1j * pulse.phase * (1.0 + np.asarray(eps)))
+        else:
+            om = pulse.rabi * (1.0 + np.asarray(alpha))
+            de = pulse.detuning + model.nominal_rabi * np.asarray(delta)
+            w = np.hypot(om, de)
+            half = 0.5 * w * pulse.duration
+            small = w * pulse.duration < 1e-8
+            w_safe = np.where(small, 1.0, w)
+            sin_over_w = np.where(
+                small,
+                0.5 * pulse.duration * (1.0 - half * half / 6.0),
+                np.sin(half) / w_safe,
+            )
+            pa = np.cos(half) - 1j * de * sin_over_w
+            pb = -1j * om * sin_over_w * np.exp(1j * pulse.phase * (1.0 + np.asarray(eps)))
+        a, b = pa * a - pb * np.conj(b), pa * b + pb * np.conj(a)
+    return np.abs(b) ** 2
+
+
+def sequential_backtrack(fun, X, R, rn, ia, steps, solvable):
+    """Armijo backtracking one halving at a time, one kernel call per halving.
+
+    Reference for the solver's two-call line search, with the same
+    signature: rows `ia` of X, R and rn take the first of lam = 1, 1/2, ...,
+    2**-11 with |r(x - lam*step)| < |r(x)|*(1 - lam/4) or below 1e-13; the
+    returned mask marks the rows that took no step.
+    """
+    lam = np.ones(ia.size)
+    pending = solvable.copy()
+    for _ in range(12):
+        idx = np.where(pending)[0]
+        if idx.size == 0:
+            break
+        xn = X[ia[idx]] - lam[idx, None] * steps[idx]
+        rnew = fun(xn)
+        rnn = np.linalg.norm(rnew, axis=1)
+        good = (rnn < rn[ia[idx]] * (1.0 - 0.25 * lam[idx])) | (rnn < 1e-13)
+        hit = idx[good]
+        X[ia[hit]] = xn[good]
+        R[ia[hit]] = rnew[good]
+        rn[ia[hit]] = rnn[good]
+        pending[hit] = False
+        lam[idx[~good]] *= 0.5
+    return pending | ~solvable
+
+
+def distinct_roots(X, tol):
+    """Sign-canonical rows of X, each kept unless an earlier kept row lies
+    within `tol` in max-norm; a plain Python loop over rows and kept rows."""
+    roots = []
+    for x in X:
+        for p in x:
+            if abs(p) > 1e-9:
+                x = -x if p < 0 else x
+                break
+        if not any(np.max(np.abs(x - r)) < tol for r in roots):
+            roots.append(x)
+    return np.array(roots).reshape(-1, X.shape[1])

@@ -117,6 +117,20 @@ def test_profile_json_with_metrics(capsys):
     assert [lvl["m"] for lvl in metrics["levels"]] == [2, 3, 4]
 
 
+def test_profile_metrics_written_beside_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    argv = ["profile", "--seq", "B3", "--points", "5", "--metrics", "--out"]
+    assert run(argv + ["sub/grid.csv"], capsys)[0] == cli.EXIT_OK
+    assert (tmp_path / "sub" / "grid.csv").is_file()
+    metrics = json.loads((tmp_path / "sub" / "grid.metrics.json").read_text())
+    assert metrics["command"] == "profile-metrics"
+    assert not (tmp_path / "grid.metrics.json").exists()
+    # a bare file name keeps both artifacts in the output directory
+    assert run(argv + ["B3.csv"], capsys)[0] == cli.EXIT_OK
+    assert (tmp_path / "B3.csv").is_file()
+    assert (tmp_path / "B3.metrics.json").is_file()
+
+
 def test_profile_eps_rejected_for_double(capsys):
     code, _, err = run(["profile", "--seq", "B3", "--eps", "0.1"], capsys)
     assert code == cli.EXIT_USAGE

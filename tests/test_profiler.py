@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from phasecomp import catalog, profiler
-from phasecomp.su2 import DOUBLE, TRIPLE, pi_pulse_train
+from phasecomp.su2 import DOUBLE, TRIPLE, CompositeSequence, PulseSpec, pi_pulse_train
 
 
 def test_axis_validation():
@@ -54,6 +54,34 @@ def test_scan_matches_pointwise_oracle():
         for j in (0, 2, 4):
             ref = oracles.product_probability(seq.phases, xv[i], yv[j])
             assert grid.values[i, j] == pytest.approx(ref, abs=1e-13)
+
+
+@pytest.mark.parametrize("model", [DOUBLE, TRIPLE])
+def test_probability_equals_pulse_by_pulse_kernel_bitwise(model):
+    # pulses that differ from the first in one field each, and in phase, so
+    # that sharing factors between pulses that differ anywhere but the phase
+    # changes the result
+    pi = math.pi
+    seq = CompositeSequence(
+        (
+            PulseSpec(pi, 0.3),
+            PulseSpec(pi, 1.7),
+            PulseSpec(pi / 2, 0.3),
+            PulseSpec(pi, 0.9, rabi=1.3 * pi),
+            PulseSpec(pi, 0.9, detuning=0.4),
+            PulseSpec(pi, 0.9, duration=1.25),
+            PulseSpec(pi, -0.6),
+        )
+    )
+    # alpha = -1 with delta = 0 puts the resonant pulses on the omega = 0
+    # (sinc) branch of the triple model
+    alpha = np.linspace(-1.0, 0.5, 7)[:, None, None]
+    delta = np.linspace(-0.5, 0.5, 5)[None, :, None] if model is TRIPLE else 0.0
+    eps = np.array([-0.1, 0.0, 0.07])[None, None, :]
+    got = profiler.probability(seq, model, alpha, delta, eps)
+    want = oracles.pulse_by_pulse_probability(seq, model, alpha, delta, eps)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_triple_scan_matches_mp_oracle():

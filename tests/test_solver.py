@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phasecomp import solver
+import oracles
+from phasecomp import profiler, solver
 from phasecomp.su2 import DOUBLE, TRIPLE
 
 
@@ -173,11 +174,17 @@ def test_verify_catalog_flat_tolerance_fails_for_long_sequences():
 
 
 def test_triple_model_problem_solves():
-    # every reported root must survive re-verification through the jet path
+    # every reported root is a root of the batched kernel's residual
     p = solver.NullificationProblem(3, ((0, 1, 0),), model=TRIPLE)
     sol = solver.solve(p, multistart=30, rng_seed=1)
     for root in sol.solutions:
         assert root.residual_norm < 1e-10
+
+
+def test_solve_without_a_converged_seed_reports_no_roots():
+    p = solver.NullificationProblem(13, ((1, 0), (1, 1), (3, 0), (3, 1), (5, 0), (5, 1)))
+    sol = solver.solve(p, multistart=1, rng_seed=1)
+    assert sol.converged_seeds == 0 and sol.solutions == ()
 
 
 def test_solution_set_jsonable():
@@ -187,3 +194,109 @@ def test_solution_set_jsonable():
     assert data["rng_seed"] == 3
     assert data["seed_count"] == 20
     assert all({"phases_pi", "residual_norm", "in_range", "broadness"} <= set(s) for s in data["solutions"])
+
+
+SMALL_PROBLEMS = (
+    solver.NullificationProblem(5, ((1, 0), (1, 1))),
+    solver.NullificationProblem(5, ((1, 0, 0), (0, 1, 0)), model=TRIPLE),
+)
+
+
+@pytest.mark.parametrize("problem", SMALL_PROBLEMS)
+def test_reported_roots_cross_check(problem):
+    # residual_norm comes from the batched kernel; the scalar jet path and a
+    # fresh profile scan re-verify every reported root
+    sol = solver.solve(problem, multistart=80, rng_seed=0)
+    assert len(sol.solutions) >= 5
+    x_axis, y_axis = profiler.default_axes(problem.model, 81)
+    for root in sol.solutions:
+        jet_norm = np.linalg.norm(solver.residual(root.phases, problem))
+        assert jet_norm < 1e-10
+        assert abs(jet_norm - root.residual_norm) <= 1e-12
+        grid = profiler.scan(
+            solver.symmetric_train(root.phases), problem.model, (x_axis, y_axis)
+        )
+        assert root.broadness == np.mean(grid.values >= 1.0 - 1e-4)
+
+
+@pytest.mark.parametrize("problem", SMALL_PROBLEMS)
+def test_two_call_backtracking_matches_sequential_halving(problem):
+    n = problem.num_unknowns
+    seeds = np.random.default_rng(7).uniform(-math.pi, math.pi, size=(40, n))
+    fun = lambda x: solver._batch_residual(x, problem)
+    R = fun(seeds)
+    rn = np.linalg.norm(R, axis=1)
+    steps = solver._lstsq_steps(solver._fd_jacobians(problem, seeds, 1e-6), R)
+    steps[::5] *= -1.0  # uphill steps, some of which exhaust every halving
+    solvable = np.ones(40, dtype=bool)
+    solvable[3] = False
+    ia = np.arange(40)
+    runs = []
+    for backtrack in (solver._backtrack, oracles.sequential_backtrack):
+        X, R_run, rn_run = seeds.copy(), R.copy(), rn.copy()
+        abandoned = backtrack(fun, X, R_run, rn_run, ia, steps, solvable)
+        runs.append((X, R_run, rn_run, abandoned))
+    (x, r, norms, abandoned), (x_ref, r_ref, norms_ref, abandoned_ref) = runs
+    assert np.array_equal(abandoned, abandoned_ref)
+    assert np.allclose(x, x_ref, rtol=0.0, atol=1e-12)
+    assert np.allclose(r, r_ref, rtol=0.0, atol=1e-12)
+    assert np.allclose(norms, norms_ref, rtol=0.0, atol=1e-12)
+    # the unsolvable seed and some uphill seeds took no step; the others
+    # took full and shortened steps
+    assert abandoned[3] and 2 <= np.count_nonzero(abandoned) < 20
+    assert np.array_equal(x[abandoned], seeds[abandoned])
+    taken = np.linalg.norm(seeds - x, axis=1) / np.linalg.norm(steps, axis=1)
+    lengths = set(np.round(np.log2(taken[~abandoned])).tolist())
+    assert 0.0 in lengths and min(lengths) <= -2.0
+
+
+def test_backtracking_reaches_every_step_length():
+    # x[0] moves by lam along the step; the residual drops from 1 to 0.5 once
+    # x[0] <= x[1], so row k first passes at lam = 2**-k, and the last row at
+    # none of the twelve lengths
+    thresholds = np.append(0.5 ** np.arange(12), 0.5**12)
+    X0 = np.column_stack([np.zeros(13), thresholds])
+    steps = np.tile([-1.0, 0.0], (13, 1))
+    fun = lambda x: np.where(x[:, :1] > x[:, 1:], 1.0, 0.5)
+    runs = []
+    for backtrack in (solver._backtrack, oracles.sequential_backtrack):
+        X, R, rn = X0.copy(), np.ones((13, 1)), np.ones(13)
+        abandoned = backtrack(fun, X, R, rn, np.arange(13), steps, np.ones(13, bool))
+        runs.append((X, rn, abandoned))
+        assert abandoned.tolist() == [False] * 12 + [True]
+        assert np.array_equal(X[:, 0], np.append(thresholds[:12], 0.0))
+        assert rn.tolist() == [0.5] * 12 + [1.0]
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def test_distinct_roots_match_reference_loop():
+    problem = solver.NullificationProblem(5, ((1, 0), (1, 1)))
+    seeds = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(200, 2))
+    x, rn = solver._newton_batch(problem, seeds)
+    converged = x[rn < 1e-10]
+    roots = solver._distinct_rows(solver._canonical_signs(converged), 1e-6)
+    assert len(converged) >= 5 * len(roots)  # mostly duplicates
+    assert np.array_equal(roots, oracles.distinct_roots(converged, 1e-6))
+
+
+def test_distinct_roots_first_come_and_tolerance():
+    tol = 2.0**-20  # offsets below are exact in binary
+    rows = np.array(
+        [
+            [0.0, -1.0],  # leading zero: the sign follows the second phase
+            [0.0, 1.0 + 0.75 * tol],  # within tol of the first kept row: dropped
+            [0.0, 1.0 + 1.5 * tol],  # within tol of the dropped row only: kept
+            [-0.5, 2.0],
+            [0.5, -2.0 + tol],  # exactly tol away: kept
+            [0.0, 0.0],
+        ]
+    )
+    roots = solver._distinct_rows(solver._canonical_signs(rows), tol)
+    assert np.array_equal(roots, oracles.distinct_roots(rows, tol))
+    assert roots.tolist() == [
+        [0.0, 1.0],
+        [0.0, 1.0 + 1.5 * tol],
+        [0.5, -2.0],
+        [0.5, -2.0 + tol],
+        [0.0, 0.0],
+    ]
