@@ -107,74 +107,160 @@ def expand_u11(
 
 # -- batched evaluation ----------------------------------------------------
 #
-# The solver evaluates U11 coefficients at many phase vectors per Newton
-# iteration.  Every pulse is a nominal pi pulse, so its series differ only by
-# the phase factor exp(i*phi*(1+eps)), which touches the eps axis alone.
-# Truncated convolution with a fixed series is linear, so with coefficient
-# arrays flattened to rows of length M, `a0 * X` is the matmul `X @ L_a0`
-# and `pb * Y` is `(pf *_eps Y) @ L_sinb`, where pf is the per-row phase
-# series.  The two (M, M) operators are built once per (model, caps) from the
-# jet product table; the batch rides along as matmul rows.
+# The solver evaluates a few U11 coefficients of many palindromic pi trains
+# (phi_0, ..., phi_n, ..., phi_0) per Newton iteration.  Let G be the
+# product of the first n+1 pulses and H that of the first n.  Each pulse
+# matrix obeys P(phi)^T = P(-phi) = Z conj~(P(phi)) Z, with Z = diag(1, -1)
+# and conj~ the coefficient conjugate with odd delta orders negated, so the
+# last n pulses compose to H(-phi)^T and the reflection identity
+# U = H(-phi)^T G gives
+#
+#     U11 = a_G conj~(a_H) - conj(b_G) flip(b_H),
+#
+# with flip negating odd delta orders.  So only n+1 of the 2n+1 pulses are
+# composed, and the product is read off at the targets alone, through a
+# cached table of index pairs.
+#
+# Every pulse is a nominal pi pulse: a = a0 and b = s * q, with eps-free
+# series a0 and s and the phase factor q = -i exp(i*phi*(1+eps)), which
+# touches the eps axis alone.  The substitution delta -> i*delta makes a0
+# and s real in the triple model (it turns conj~ into a plain conjugate), so
+# both act as real (M', M') convolution matrices over the alpha and delta
+# axes.  The state is stored batch-last as (M', K, 2B), K eps orders, with a
+# in the first B columns and conj(b) in the rest, which makes every pulse
+# conjugation-free: the matmuls run on its float view and the eps
+# convolution with q runs along the batch.
 
 
 @functools.lru_cache(maxsize=None)
-def _pi_pulse_operators(model: ErrorModel, caps: tuple[int, ...]):
-    """(L_a0, L_sinb): right-multiplication by the pi-pulse a and b/phase series."""
+def _pi_pulse_operators(model: ErrorModel, caps: tuple[int, ...]) -> "np.ndarray":
+    """[L_a | L_s]: real left-multiplication by a0 and s over the eps-free
+    axes, side by side, after the delta -> i*delta substitution.
+
+    L_s also negates odd delta orders of its input: in the substituted
+    frame, conj(b) of the original frame is flip(conj(b)).
+    """
     a_jet, b_jet = _pulse_jets(PulseSpec(area=math.pi, phase=0.0), model, caps)
-    shape = a_jet.coeffs.shape
-    i, j, k = jets._conv_table(shape)
-    ops = []
-    for series in (a_jet.coeffs, b_jet.coeffs):  # phase factor is 1 at phi = 0
-        op = np.zeros((series.size, series.size), dtype=complex)
-        op[i, k] = series.ravel()[j]
-        op.setflags(write=False)
-        ops.append(op)
-    return tuple(ops)
+    a0, s = a_jet.coeffs[..., 0], 1j * b_jet.coeffs[..., 0]
+    parity = np.ones(a0.shape)
+    if model.kind == "triple":
+        tilt = 1j ** np.arange(caps[1] + 1)
+        a0, s = a0 * tilt, s * tilt
+        parity = parity * (-1.0) ** np.arange(caps[1] + 1)
+    i, j, k = jets._conv_table(a0.shape)
+    size = a0.size
+    op = np.zeros((size, 2 * size))
+    op[k, i] = a0.real.ravel()[j]
+    op[k, size + i] = s.real.ravel()[j] * parity.ravel()[i]
+    op.setflags(write=False)
+    return op
 
 
-def _phase_factor_batch(phases: "np.ndarray", k_cap: int) -> "np.ndarray":
-    """Taylor coefficients in eps of exp(i*phi*(1+eps)), one row of k_cap+1
-    per phase: shape phases.shape + (k_cap+1,)."""
-    out = np.empty(phases.shape + (k_cap + 1,), dtype=complex)
-    out[..., 0] = np.exp(1j * phases)
-    for k in range(1, k_cap + 1):
-        out[..., k] = out[..., k - 1] * (1j * phases) / k
-    return out
+@functools.lru_cache(maxsize=None)
+def _target_pairs(model: ErrorModel, caps: tuple[int, ...], targets):
+    """Flat index pairs (t, i, j): multi-indices i + j equal to target t.
+
+    Also returns, per target, the b-term's sign (the flip of its delta
+    order) and the factor undoing the delta -> i*delta substitution.
+    """
+    shape = tuple(c + 1 for c in caps)
+    pairs = []
+    for t, target in enumerate(targets):
+        if len(target) != len(caps) or not all(0 <= o <= c for o, c in zip(target, caps)):
+            raise ValueError(f"target {target} outside caps {caps}")
+        for i in itertools.product(*(range(o + 1) for o in target)):
+            j = tuple(o - k for o, k in zip(target, i))
+            pairs.append((t, int(np.ravel_multi_index(i, shape)), int(np.ravel_multi_index(j, shape))))
+    delta = np.array([t[1] if model.kind == "triple" else 0 for t in targets])
+    sign, factor = ((-1.0) ** delta)[:, None], ((-1j) ** delta)[:, None]
+    sign.setflags(write=False)
+    factor.setflags(write=False)
+    return tuple(pairs), sign, factor
+
+
+def _compose_pulse(work: np.ndarray, q: np.ndarray, op: np.ndarray, out: np.ndarray):
+    """One more pi pulse: `work[0]` holds the state, `out[0]` receives it.
+
+    The state (M', K, 2B) holds a in its first B columns and conj(b) in the
+    rest, so that a' = a0 a - s (q * conj(b)) and conj(b)' = a0 conj(b) +
+    s (conj(q) * a) need no conjugation.  `q` (K, 2B) holds -q on the a
+    columns and conj(q) on the others.  `work[1]` receives the eps
+    convolutions of q with the other half, then one matmul [L_a | L_s] @
+    work forms the new state.
+    """
+    state, cross = work
+    size, k_len, width = state.shape
+    half = width // 2
+    scratch = out[1]  # free until the next pulse
+    for dst, src in ((slice(None, half), slice(half, None)), (slice(half, None), slice(None, half))):
+        np.multiply(state[..., src], q[0, dst], out=cross[..., dst])
+        for m in range(1, k_len):
+            part = scratch[:, m:, dst]
+            np.multiply(state[:, : k_len - m, src], q[m, dst], out=part)
+            cross[:, m:, dst] += part
+    np.matmul(op, work.view(float).reshape(2 * size, -1),
+              out=out[0].view(float).reshape(size, -1))
 
 
 def u11_coefficients_batch(
-    phase_lists: "np.ndarray", model: ErrorModel, caps
+    phase_lists: "np.ndarray", model: ErrorModel, caps, targets
 ) -> "np.ndarray":
-    """U11 Taylor coefficient arrays for a batch of nominal-pi-pulse trains.
+    """U11 Taylor coefficients at `targets` for a batch of palindromic
+    nominal-pi-pulse trains.
 
-    `phase_lists` has shape (B, N) and holds full nominal phases in radians;
-    the result has shape (B, *(caps+1)).  Agrees with :func:`expand_u11`
-    coefficient-by-coefficient (the scalar jet path serves as a cross-check).
+    `phase_lists` has shape (B, N) with N odd and each row equal to its
+    reverse; it holds full nominal phases in radians.  `targets` are
+    multi-indices within `caps`.  The result has shape (B, len(targets)) and
+    agrees with :func:`expand_u11` to rounding.
     """
     caps = tuple(int(c) for c in caps)
+    targets = tuple(tuple(int(o) for o in t) for t in targets)
     phase_lists = np.asarray(phase_lists, dtype=float)
     batch, n_pulses = phase_lists.shape
-    op_a0, op_sinb = _pi_pulse_operators(model, caps)
-    shape = tuple(c + 1 for c in caps)
-    size, k_len = op_a0.shape[0], shape[-1]
-    pf = _phase_factor_batch(phase_lists, caps[-1])
-    # signed per row: +pf feeds b from conj(a), -pf feeds a from conj(b)
-    pf = np.concatenate([pf, -pf])[:, :, None, :]
+    if n_pulses % 2 == 0:
+        raise ValueError(f"the batched kernel needs an odd train, got {n_pulses} pulses")
+    if not np.array_equal(phase_lists[:, : n_pulses // 2], phase_lists[:, : n_pulses // 2 : -1]):
+        raise ValueError("the batched kernel needs palindromic phase lists")
+    op = _pi_pulse_operators(model, caps)
+    pairs, sign, factor = _target_pairs(model, caps, targets)
+    size, k_len = op.shape[0], caps[-1] + 1
+    n = n_pulses // 2
 
-    # rows [:B] hold a of the composed train, rows [B:] hold b
-    state = np.zeros((2 * batch, size), dtype=complex)
-    state[:batch, 0] = 1.0
-    for p in range(n_pulses):
-        conj = state.conj().reshape(2 * batch, size // k_len, k_len)
-        f = pf[:, p]
-        phased = conj * f[..., :1]
-        for m in range(1, k_len):
-            phased[..., m:] += f[..., m : m + 1] * conj[..., : k_len - m]
-        mixed = phased.reshape(2 * batch, size) @ op_sinb
-        state = state @ op_a0
-        state[:batch] += mixed[batch:]
-        state[batch:] += mixed[:batch]
-    return state[:batch].reshape((batch,) + shape)
+    # q_l = -i exp(i*phi) (i*phi)^l / l! for the first n+1 phases only; the
+    # a columns take -q and the conj(b) columns conj(q), both of the form
+    # i exp(i*psi) (i*psi)^l / l!, with psi = phi and -phi
+    phi = phase_lists[:, : n + 1].T
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    q = np.empty((n + 1, k_len, 2 * batch), dtype=complex)
+    q.real[:, 0, :batch] = -sin_phi
+    q.real[:, 0, batch:] = sin_phi
+    q.imag[:, 0, :batch] = cos_phi
+    q.imag[:, 0, batch:] = cos_phi
+    psi = np.hstack([phi, -phi])
+    for m in range(1, k_len):
+        q[:, m] = q[:, m - 1] * (1j / m) * psi
+
+    # two (state, cross) buffers; pulse p writes its state into buffer p % 2,
+    # so after the last one, buffer n % 2 holds G and the other holds H
+    work = np.empty((2, 2, size, k_len, 2 * batch), dtype=complex)
+    # the first pulse acting on the identity: a = a0, conj(b) = s * conj(q)
+    work[0, 0, :, 1:, :batch] = 0.0
+    work[0, 0, :, 0, :batch] = op[:, :1]
+    np.multiply(op[:, size, None, None], q[0, :, batch:], out=work[0, 0, ..., batch:])
+    if n == 0:  # H is the identity
+        work[1, 0] = 0.0
+        work[1, 0, 0, 0, :batch] = 1.0
+    for p in range(1, n + 1):
+        _compose_pulse(work[(p - 1) % 2], q[p], op, work[p % 2])
+    flat = work[:, 0].reshape(2, size * k_len, 2 * batch)
+    g, h = flat[n % 2], flat[(n - 1) % 2]
+    np.conjugate(h, out=h)
+
+    # per target: sums of a_G conj(a_H) and of conj(b_G) b_H over its pairs
+    x = np.zeros((len(targets), 2 * batch), dtype=complex)
+    for t, i, j in pairs:
+        x[t] += g[i] * h[j]
+    return ((x[:, :batch] - sign * x[:, batch:]) * factor).T
 
 
 @dataclass(frozen=True)

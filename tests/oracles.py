@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the package's jet/series machinery:
+Almost everything here avoids the package's jet/series machinery:
 probabilities come from explicit 2x2 matrix products (numpy or mpmath) and
 Taylor coefficients from Richardson-extrapolated central finite differences
 evaluated in high-precision arithmetic, so round-off cannot mask a
-disagreement with the series path.
+disagreement with the series path.  The exception is
+:func:`pulse_by_pulse_u11_batch`, which takes its single-pulse series from
+the package's jets and is independent only in how it composes them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from math import comb, factorial
 
 import mpmath as mp
 import numpy as np
+
+from phasecomp import expansion, jets
+from phasecomp.su2 import PulseSpec
 
 PRECISION_DPS = 50
 
@@ -262,3 +267,47 @@ def distinct_roots(X, tol):
         if not any(np.max(np.abs(x - r)) < tol for r in roots):
             roots.append(x)
     return np.array(roots).reshape(-1, X.shape[1])
+
+
+def pulse_by_pulse_u11_batch(phase_lists, model, caps):
+    """U11 Taylor coefficient arrays of nominal-pi-pulse trains, every pulse
+    of every train composed in turn; shape (B, *(caps+1)).
+
+    Reference for the palindrome kernel, which composes half of each train
+    and reads off only its targets: this loop takes any trains and returns
+    every coefficient within the caps.  Coefficient arrays flattened to
+    rows of length M compose by two (M, M) matmuls per pulse, `a0 * X` as
+    `X @ L_a0` and `pb * Y` as `(pf *_eps Y) @ L_sinb` with pf the
+    per-row phase series.
+    """
+    caps = tuple(int(c) for c in caps)
+    phase_lists = np.asarray(phase_lists, dtype=float)
+    batch, n_pulses = phase_lists.shape
+    a_jet, b_jet = expansion._pulse_jets(PulseSpec(area=math.pi, phase=0.0), model, caps)
+    shape = a_jet.coeffs.shape
+    i, j, k = jets._conv_table(shape)
+    op_a0, op_sinb = (np.zeros((a_jet.coeffs.size,) * 2, dtype=complex) for _ in range(2))
+    op_a0[i, k] = a_jet.coeffs.ravel()[j]
+    op_sinb[i, k] = b_jet.coeffs.ravel()[j]  # phase factor is 1 at phi = 0
+    size, k_len = op_a0.shape[0], shape[-1]
+    pf = np.empty(phase_lists.shape + (k_len,), dtype=complex)
+    pf[..., 0] = np.exp(1j * phase_lists)
+    for m in range(1, k_len):
+        pf[..., m] = pf[..., m - 1] * (1j * phase_lists) / m
+    # signed per row: +pf feeds b from conj(a), -pf feeds a from conj(b)
+    pf = np.concatenate([pf, -pf])[:, :, None, :]
+
+    # rows [:B] hold a of the composed train, rows [B:] hold b
+    state = np.zeros((2 * batch, size), dtype=complex)
+    state[:batch, 0] = 1.0
+    for p in range(n_pulses):
+        conj = state.conj().reshape(2 * batch, size // k_len, k_len)
+        f = pf[:, p]
+        phased = conj * f[..., :1]
+        for m in range(1, k_len):
+            phased[..., m:] += f[..., m : m + 1] * conj[..., : k_len - m]
+        mixed = phased.reshape(2 * batch, size) @ op_sinb
+        state = state @ op_a0
+        state[:batch] += mixed[batch:]
+        state[batch:] += mixed[:batch]
+    return state[:batch].reshape((batch,) + shape)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from phasecomp import expansion
@@ -121,32 +123,51 @@ def test_even_order_check_rejects_asymmetric():
         expansion.check_even_j(pi_pulse_train([0.0, 0.5, 0.3, 0.0]), DOUBLE)
 
 
+def random_palindromes(rng, batch, n_pulses):
+    """(batch, n_pulses) palindromic phase lists, outer phases included."""
+    half = rng.uniform(-math.pi, math.pi, size=(batch, n_pulses // 2 + 1))
+    return np.hstack([half, half[:, -2::-1]])
+
+
+def all_indices(caps):
+    return tuple(np.ndindex(*(c + 1 for c in caps)))
+
+
 def test_batched_path_matches_jet_path_double():
     rng = np.random.default_rng(29)
-    phases = rng.uniform(-math.pi, math.pi, size=(4, 7))
-    phases[:, 0] = 0.0
-    batch = expansion.u11_coefficients_batch(phases, DOUBLE, (3, 2))
-    for i in range(4):
-        table = expansion.expand_u11(
-            pi_pulse_train(phases[i] / math.pi), DOUBLE, (3, 2)
-        )
-        for idx, c in table.entries.items():
-            assert abs(batch[(i,) + idx] - c) < 1e-12
+    targets = all_indices((3, 2))
+    for batch in (0, 1, 3):
+        phases = random_palindromes(rng, batch, 7)
+        got = expansion.u11_coefficients_batch(phases, DOUBLE, (3, 2), targets)
+        assert got.shape == (batch, len(targets))
+        loop = oracles.pulse_by_pulse_u11_batch(phases, DOUBLE, (3, 2))
+        for i in range(batch):
+            table = expansion.expand_u11(
+                pi_pulse_train(phases[i] / math.pi), DOUBLE, (3, 2)
+            )
+            for t, idx in enumerate(targets):
+                assert abs(got[i, t] - table.entries[idx]) < 1e-12
+                assert abs(got[i, t] - loop[(i,) + idx]) < 1e-12
 
 
 def test_batched_path_matches_jet_path_triple():
     rng = np.random.default_rng(31)
-    phases = rng.uniform(-math.pi, math.pi, size=(2, 5))
-    batch = expansion.u11_coefficients_batch(phases, TRIPLE, (2, 2, 1))
-    for i in range(2):
-        table = expansion.expand_u11(
-            pi_pulse_train(phases[i] / math.pi), TRIPLE, (2, 2, 1)
-        )
-        for idx, c in table.entries.items():
-            assert abs(batch[(i,) + idx] - c) < 1e-12
+    targets = all_indices((2, 2, 1))
+    for batch in (0, 1, 3):
+        phases = random_palindromes(rng, batch, 5)
+        got = expansion.u11_coefficients_batch(phases, TRIPLE, (2, 2, 1), targets)
+        assert got.shape == (batch, len(targets))
+        loop = oracles.pulse_by_pulse_u11_batch(phases, TRIPLE, (2, 2, 1))
+        for i in range(batch):
+            table = expansion.expand_u11(
+                pi_pulse_train(phases[i] / math.pi), TRIPLE, (2, 2, 1)
+            )
+            for t, idx in enumerate(targets):
+                assert abs(got[i, t] - table.entries[idx]) < 1e-12
+                assert abs(got[i, t] - loop[(i,) + idx]) < 1e-12
 
 
-@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("batch", [0, 1, 3])
 @pytest.mark.parametrize(
     "model, caps, n_pulses",
     [
@@ -161,14 +182,53 @@ def test_batched_kernel_matches_jet_path_at_solver_caps(model, caps, n_pulses, b
     # the caps the solver and the CLI use; coefficients reach ~4e5 at (5,5,2),
     # so agreement is judged relative to the largest one of each train
     rng = np.random.default_rng(10 * n_pulses + sum(caps) + batch)
-    phases = rng.uniform(-math.pi, math.pi, size=(batch, n_pulses))
-    got = expansion.u11_coefficients_batch(phases, model, caps)
-    assert got.shape == (batch, *(c + 1 for c in caps))
-    for row, train in zip(got, phases):
+    phases = random_palindromes(rng, batch, n_pulses)
+    targets = all_indices(caps)
+    got = expansion.u11_coefficients_batch(phases, model, caps, targets)
+    assert got.shape == (batch, len(targets))
+    loop = oracles.pulse_by_pulse_u11_batch(phases, model, caps).reshape(batch, len(targets))
+    for row, loop_row, train in zip(got, loop, phases):
         table = expansion.expand_u11(pi_pulse_train(train / math.pi), model, caps)
-        want = np.array([table.entries[idx] for idx in np.ndindex(row.shape)])
-        want = want.reshape(row.shape)
+        want = np.array([table.entries[idx] for idx in targets])
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(row - loop_row)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_batched_kernel_rejects_even_and_asymmetric_trains():
+    targets = ((1, 0),)
+    with pytest.raises(ValueError, match="odd"):
+        expansion.u11_coefficients_batch(np.zeros((2, 4)), DOUBLE, (1, 1), targets)
+    asymmetric = np.array([[0.0, 0.3, 0.7, 0.3, 0.0], [0.0, 0.3, 0.7, 0.4, 0.0]])
+    with pytest.raises(ValueError, match="palindromic"):
+        expansion.u11_coefficients_batch(asymmetric, DOUBLE, (1, 1), targets)
+    with pytest.raises(ValueError, match="outside caps"):
+        expansion.u11_coefficients_batch(np.zeros((1, 5)), DOUBLE, (1, 1), ((2, 0),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    triple=st.booleans(),
+    n_pulses=st.sampled_from([1, 3, 5, 7, 9, 11, 13]),
+    batch=st.integers(0, 3),
+    caps=st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 2)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 40.0]),
+)
+def test_batched_kernel_equals_pulse_loop(triple, n_pulses, batch, caps, seed, scale):
+    # random palindromes, phases up to 40 pi, every coefficient as a target
+    # in a random order
+    model, caps = (TRIPLE, caps) if triple else (DOUBLE, (caps[0], caps[2]))
+    rng = np.random.default_rng(seed)
+    phases = scale * random_palindromes(rng, batch, n_pulses)
+    targets = all_indices(caps)
+    order = rng.permutation(len(targets))
+    targets = tuple(targets[k] for k in order)
+    got = expansion.u11_coefficients_batch(phases, model, caps, targets)
+    loop = oracles.pulse_by_pulse_u11_batch(phases, model, caps).reshape(batch, len(targets))
+    want = loop[:, order]
+    assert got.shape == want.shape
+    for row, ref in zip(got, want):
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_table_jsonable_roundtrip_shape():
